@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
-# unwrap/expect deny gate for crates/fl and crates/net non-test code),
+# unwrap/expect deny gate for the non-test code of crates/fl, crates/net,
+# crates/obs, crates/scenario, crates/tensor and crates/nn),
 # docs, build, tests, the kernel-throughput + thread-scaling microbench
 # (emits results/BENCH_parallel.json and self-checks that the blocked
 # GEMM beats the naive reference >= 3x geomean on alexnet-class
@@ -42,12 +43,13 @@ cargo fmt --all -- --check
 step "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "clippy unwrap/expect deny gate (crates/fl, crates/net, crates/obs, crates/scenario)"
+step "clippy unwrap/expect deny gate (crates/fl, net, obs, scenario, tensor, nn)"
 # These crates carry `#![cfg_attr(not(test), deny(clippy::unwrap_used,
-# clippy::expect_used))]`, locking in the PR 3 typed-error migration for
-# non-test code; this step compiles them standalone so a violation fails
-# CI even if the workspace pass above is ever narrowed.
-cargo clippy -p helios-fl -p helios-net -p helios-obs -p helios-scenario --all-targets
+# clippy::expect_used))]`, locking in typed errors for non-test code;
+# this step compiles them standalone so a violation fails CI even if the
+# workspace pass above is ever narrowed.
+cargo clippy -p helios-fl -p helios-net -p helios-obs -p helios-scenario \
+    -p helios-tensor -p helios-nn --all-targets
 
 step "cargo doc (warnings are errors)"
 # Scoped to first-party crates: the vendored deps are workspace members
@@ -103,8 +105,7 @@ if [ "$SKIP_BENCH" -eq 0 ]; then
 
     step "observability bench (results/BENCH_obs.json + traces)"
     # bench_obs re-parses its own JSON and exits nonzero unless the
-    # estimated disabled-mode tracing overhead stays under its budget
-    # and the host gauges are bridged into the metrics registry.
+    # estimated disabled-mode tracing overhead stays under its budget.
     cargo run --release -p helios-bench --bin bench_obs
     [ -s results/BENCH_obs.json ] || { echo "BENCH_obs.json missing or empty" >&2; exit 1; }
 

@@ -157,9 +157,6 @@ fn run_report(strategy: &mut dyn Strategy) -> RunReport {
 }
 
 fn main() {
-    // Zero the process-global host accumulators so the per-cycle flop
-    // counts below are attributable to this run alone.
-    let _host = helios_nn::HostMetricsScope::enter();
     let strategies: Vec<Box<dyn Strategy>> = vec![
         Box::new(SyncFedAvg::new()),
         Box::new(RandomPartial::new(vec![None, None, Some(0.4), Some(0.4)])),

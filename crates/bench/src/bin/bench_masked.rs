@@ -13,7 +13,7 @@
 
 use helios_bench::results_dir;
 use helios_nn::{models, set_packed_execution, CrossEntropyLoss, ModelMask, Network, Sgd};
-use helios_tensor::{kernel_counters, uniform_init, Tensor, TensorRng};
+use helios_tensor::{host_counters, uniform_init, Tensor, TensorRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -60,7 +60,7 @@ fn leading_units_mask(net: &mut Network, keep: f64) -> ModelMask {
 fn train_cost(net: &mut Network, x: &Tensor, labels: &[usize]) -> (u64, f64) {
     let loss = CrossEntropyLoss::new();
     let mut opt = Sgd::with_momentum(0.05, 0.9);
-    let before = kernel_counters();
+    let before = host_counters();
     let start = Instant::now();
     for _ in 0..STEPS {
         net.zero_grad();
@@ -70,15 +70,12 @@ fn train_cost(net: &mut Network, x: &Tensor, labels: &[usize]) -> (u64, f64) {
         opt.step(net).expect("step");
     }
     (
-        kernel_counters().since(&before).flops,
+        host_counters().since(&before).flops,
         start.elapsed().as_secs_f64(),
     )
 }
 
 fn main() {
-    // Zero the process-global host accumulators so the kernel-flop
-    // deltas below start from a clean slate.
-    let _host = helios_nn::HostMetricsScope::enter();
     let mut rng = TensorRng::seed_from(SEED);
     let template = models::lenet(10, &mut rng);
     let x = uniform_init(&[BATCH, 1, 16, 16], -1.0, 1.0, &mut rng);

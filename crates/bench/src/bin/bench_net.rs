@@ -230,9 +230,6 @@ fn curve_point(
 }
 
 fn main() {
-    // Zero the process-global host accumulators so the two runs below
-    // are measured from a clean slate.
-    let _host = helios_nn::HostMetricsScope::enter();
     let mut sync_env = make_env(CompressionConfig::default());
     let mut helios_env = make_env(CompressionConfig::default());
     let param_count = sync_env.global().len();

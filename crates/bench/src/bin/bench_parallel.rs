@@ -267,9 +267,6 @@ fn bench_client_round(records: &mut Vec<KernelRecord>) {
 }
 
 fn main() {
-    // Zero the process-global host accumulators (kernel counters, nn
-    // wall timers) so repeated bench invocations don't bleed totals.
-    let _host = helios_nn::HostMetricsScope::enter();
     let hardware = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let (gemm, geomean) = bench_gemm_single_core();

@@ -43,6 +43,7 @@ use crate::{
 };
 use helios_device::SimTime;
 use helios_obs::{PhaseGuard, TraceEvent};
+use helios_tensor::host_counters;
 use std::time::Instant;
 
 /// The policy hooks a collaboration scheme plugs into the
@@ -228,8 +229,7 @@ impl RoundDriver {
     ) -> Result<RunMetrics> {
         let mut metrics = RunMetrics::new(RoundPolicy::name(policy));
         let mut profile = RunProfile::default();
-        let run_kernels = helios_tensor::kernel_counters();
-        let run_nn = helios_nn::nn_timings();
+        let run_host = host_counters();
 
         let t = Instant::now();
         policy.begin_run(env)?;
@@ -300,16 +300,14 @@ impl RoundDriver {
 
             // 4. Local training (parallel fan-out, bitwise equal to
             // serial execution at any thread count).
-            let kernels_before = helios_tensor::kernel_counters();
+            let host_before = host_counters();
             let t = Instant::now();
             let updates = {
                 let _span = PhaseGuard::new(cycle as u64, "train");
                 env.train_selected(&participants)?
             };
             profile.train_s += t.elapsed().as_secs_f64();
-            let train_flops = helios_tensor::kernel_counters()
-                .since(&kernels_before)
-                .flops;
+            let train_flops = host_counters().since(&host_before).flops;
             for (&i, compute) in participants.iter().zip(&compute_times) {
                 helios_obs::emit(|| TraceEvent::TrainDone {
                     device: i as u64,
@@ -359,16 +357,14 @@ impl RoundDriver {
             // 8. Evaluation and recording. The simulated span partitions
             // into the training share (slowest participant's compute,
             // clipped to the span) and the communication/waiting share.
-            let kernels_before = helios_tensor::kernel_counters();
+            let host_before = host_counters();
             let t = Instant::now();
             let (test_loss, test_accuracy) = {
                 let _span = PhaseGuard::new(cycle as u64, "evaluate");
                 env.evaluate_global()?
             };
             profile.eval_s += t.elapsed().as_secs_f64();
-            let eval_flops = helios_tensor::kernel_counters()
-                .since(&kernels_before)
-                .flops;
+            let eval_flops = host_counters().since(&host_before).flops;
             helios_obs::emit(|| TraceEvent::EvalDone {
                 cycle: cycle as u64,
                 loss: test_loss,
@@ -406,13 +402,12 @@ impl RoundDriver {
             });
         }
 
-        let kernels = helios_tensor::kernel_counters().since(&run_kernels);
-        profile.kernel_flops = kernels.flops;
-        profile.kernel_elements = kernels.elements;
-        let nn = helios_nn::nn_timings().since(&run_nn);
-        profile.nn_forward_s = nn.forward_s;
-        profile.nn_backward_s = nn.backward_s;
-        profile.nn_step_s = nn.step_s;
+        let host = host_counters().since(&run_host);
+        profile.kernel_flops = host.flops;
+        profile.kernel_elements = host.elements;
+        profile.nn_forward_s = host.forward_ns as f64 / 1e9;
+        profile.nn_backward_s = host.backward_ns as f64 / 1e9;
+        profile.nn_step_s = host.step_ns as f64 / 1e9;
         metrics.set_profile(profile);
         Ok(metrics)
     }

@@ -11,7 +11,10 @@ use std::fmt::Write as _;
 /// simulated span: `train_s + comm_s` equals the clock advance the cycle
 /// produced. The wire fields come from the simulated transport and are
 /// zero when networking is disabled. The flop counters are snapshot
-/// deltas of the process-wide kernel counters. Equality compares only
+/// deltas of the driving thread's kernel counters, into which every
+/// worker the phase fanned out folds its share on join, so they count
+/// exactly this run's kernels and are deterministic for a fixed seed.
+/// Equality compares only
 /// the simulated outcome (timing partition and participation) — see
 /// [`PhaseBreakdown::eq`] for why the observability counters (wire
 /// bytes, retries, flops) are excluded.
@@ -45,12 +48,12 @@ pub struct PhaseBreakdown {
 impl PartialEq for PhaseBreakdown {
     /// Compares the *simulated collaboration outcome* — the timing
     /// partition and the participation counts. The observability
-    /// counters are excluded: the flop counters are process-global and
-    /// interleave with concurrent runs, and the wire/retry counters
-    /// describe how the transport carried the exchange, which differs
-    /// between a routed and a direct run even when the learning outcome
-    /// is bitwise identical (the transparency invariant the parity
-    /// suites assert).
+    /// counters are excluded because they describe how the outcome was
+    /// produced, not the outcome: the flop counters differ between the
+    /// packed and zeroing execution of one bitwise-identical masked
+    /// round, and the wire/retry counters differ between a routed and a
+    /// direct run with the same learning outcome (the transparency
+    /// invariant the parity suites assert).
     fn eq(&self, other: &Self) -> bool {
         self.train_s == other.train_s
             && self.comm_s == other.comm_s
@@ -84,9 +87,9 @@ pub struct RoundRecord {
 
 /// Host-side profile of one strategy run, filled in by the round driver.
 ///
-/// All fields are *wall-clock* observations of this process (seconds of
-/// real time, summed across worker threads for the fan-out phases) —
-/// they describe how long the simulation took to execute, never the
+/// All fields are *host* observations of this run (seconds of real
+/// time, summed across worker threads for the fan-out phases, and
+/// kernel counts) — they describe how long the simulation took to execute, never the
 /// simulated timeline, and are excluded from [`RunMetrics`] equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunProfile {
@@ -102,11 +105,11 @@ pub struct RunProfile {
     pub aggregate_s: f64,
     /// Wall time spent evaluating the global model.
     pub eval_s: f64,
-    /// CPU time inside `Network::forward` across all threads.
+    /// CPU time inside `Network::forward`, summed over the run's threads.
     pub nn_forward_s: f64,
-    /// CPU time inside `Network::backward` across all threads.
+    /// CPU time inside `Network::backward`, summed over the run's threads.
     pub nn_backward_s: f64,
-    /// CPU time inside `Sgd::step` across all threads.
+    /// CPU time inside `Sgd::step`, summed over the run's threads.
     pub nn_step_s: f64,
     /// Total kernel flops counted over the run (training + evaluation).
     pub kernel_flops: u64,
@@ -381,9 +384,9 @@ mod tests {
 
     #[test]
     fn observability_counters_do_not_break_equality() {
-        // The kernel counters are process-global and interleave with
-        // concurrent runs, and the wire counters differ between routed
-        // and direct runs with identical learning outcomes — neither may
+        // The flop counters differ between packed and zeroing execution
+        // of the same round, and the wire counters between routed and
+        // direct runs with identical learning outcomes — neither may
         // participate in equality.
         let a = PhaseBreakdown {
             train_s: 1.0,

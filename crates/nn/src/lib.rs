@@ -44,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
 mod cost;
@@ -55,7 +56,6 @@ mod loss;
 pub mod models;
 mod network;
 mod optim;
-pub mod profiler;
 
 pub use cost::{LayerCost, NetworkCost};
 pub use error::NnError;
@@ -65,7 +65,6 @@ pub use layers::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Relu, Residual, U
 pub use loss::CrossEntropyLoss;
 pub use network::{MaskableUnits, ModelMask, Network, NeuronId, NeuronLayout, ParamGroup};
 pub use optim::Sgd;
-pub use profiler::{nn_timings, HostMetricsScope, NnTimings};
 
 #[doc(no_inline)]
 pub use helios_tensor::{ParallelismConfig, ParallelismGuard};

@@ -3,7 +3,7 @@
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
-use helios_tensor::Tensor;
+use helios_tensor::{timed, Hotpath, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Number of output units of each maskable layer of a network, in
@@ -324,7 +324,7 @@ impl Network {
     ///
     /// Propagates tensor shape errors.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        crate::profiler::timed(crate::profiler::Hotpath::Forward, || {
+        timed(Hotpath::Forward, || {
             let mut h = x.clone();
             for layer in &mut self.layers {
                 h = layer.forward(&h)?;
@@ -340,7 +340,7 @@ impl Network {
     /// Returns [`NnError::BackwardBeforeForward`] when called without a
     /// preceding [`Network::forward`].
     pub fn backward(&mut self, grad_logits: &Tensor) -> Result<()> {
-        crate::profiler::timed(crate::profiler::Hotpath::Backward, || {
+        timed(Hotpath::Backward, || {
             let mut g = grad_logits.clone();
             for layer in self.layers.iter_mut().rev() {
                 g = layer.backward(&g)?;

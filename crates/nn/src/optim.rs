@@ -1,7 +1,7 @@
 //! Stochastic gradient descent with optional momentum.
 
 use crate::{Network, Result};
-use helios_tensor::Tensor;
+use helios_tensor::{timed, Hotpath, Tensor};
 
 /// SGD optimizer: `v ← µ·v + g`, `θ ← θ − η·v`.
 ///
@@ -93,7 +93,7 @@ impl Sgd {
     /// Propagates tensor shape errors (only possible if the network
     /// architecture changed between steps).
     pub fn step(&mut self, net: &mut Network) -> Result<()> {
-        crate::profiler::timed(crate::profiler::Hotpath::Step, || self.step_inner(net))
+        timed(Hotpath::Step, || self.step_inner(net))
     }
 
     fn step_inner(&mut self, net: &mut Network) -> Result<()> {

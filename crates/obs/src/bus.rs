@@ -1,11 +1,19 @@
-//! The process-wide deterministic event bus.
+//! The per-thread deterministic event bus.
 //!
 //! The bus is **off by default** and zero-cost when off: [`emit`] takes
-//! a closure and checks one relaxed atomic before building the event,
-//! so an uninstrumented run pays a single predictable branch per call
-//! site. Installing a sink flips the bus on; dropping the returned
+//! a closure and checks one thread-local flag before building the
+//! event, so an uninstrumented run pays a single predictable branch per
+//! call site. Installing a sink flips the bus on; dropping the returned
 //! [`SinkHandle`] detaches it again (the bus turns back off when the
 //! last sink detaches).
+//!
+//! ## One bus per thread
+//!
+//! Sinks, the on/off switch and the sim-time stamp all belong to the
+//! thread that called [`install`]: a run traces into the sinks its own
+//! thread installed, and runs on other threads of the same process
+//! (concurrent tests, a bench sweeping configurations on workers) can
+//! neither see nor disturb them.
 //!
 //! ## Timestamps
 //!
@@ -13,70 +21,69 @@
 //! driver via [`set_sim_time`] as the sim-clock advances. Host
 //! wall-clock never enters a trace, which is the property that makes
 //! traces bitwise reproducible across thread widths. There is no
-//! global sequence counter either — one would differ between runs
-//! sharing a process — so the record order *is* the sequence.
+//! sequence counter either, so the record order *is* the sequence.
 //!
 //! ## Determinism contract
 //!
-//! Every emission point in the workspace sits on the serial main-thread
-//! path (driver phases, post-join fan-in, transport send loop); nothing
-//! emits from inside a parallel worker. That keeps the record stream
+//! Every emission point in the workspace sits on the serial path of the
+//! thread driving the run (driver phases, post-join fan-in, transport
+//! send loop); nothing emits from inside a parallel worker — a worker's
+//! emission would reach no sink. That keeps the record stream
 //! byte-identical regardless of `ParallelismConfig`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 
 use helios_device::SimTime;
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::sink::TraceSink;
 
-/// Fast-path switch: true iff at least one sink is installed.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Current simulated time, stored as raw f64 bits.
-static SIM_TIME_BITS: AtomicU64 = AtomicU64::new(0);
-/// Installed sinks, keyed by handle id so detach removes the right one.
-static SINKS: Mutex<Vec<(u64, Box<dyn TraceSink>)>> = Mutex::new(Vec::new());
-/// Monotonic id source for [`SinkHandle`]s.
-static NEXT_HANDLE: AtomicU64 = AtomicU64::new(1);
-
-fn sinks() -> std::sync::MutexGuard<'static, Vec<(u64, Box<dyn TraceSink>)>> {
-    SINKS.lock().unwrap_or_else(PoisonError::into_inner)
+thread_local! {
+    /// Fast-path switch: true iff at least one sink is installed.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// Current simulated time, in seconds.
+    static SIM_TIME_S: Cell<f64> = const { Cell::new(0.0) };
+    /// Installed sinks, keyed by handle id so detach removes the right
+    /// one.
+    static SINKS: RefCell<Vec<(u64, Box<dyn TraceSink>)>> = const { RefCell::new(Vec::new()) };
+    /// Id source for [`SinkHandle`]s.
+    static NEXT_HANDLE: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Whether any sink is currently installed.
+/// Whether any sink is currently installed on this thread.
 ///
 /// Call sites may use this to skip *argument* computation that the
 /// [`emit`] closure cannot capture cheaply; `emit` itself already
 /// checks it.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
 /// Publishes the current simulated time for subsequent events.
 ///
 /// The driver calls this as the sim-clock advances; emission points
 /// never read the clock themselves. The value is stored raw (no
-/// monotone clamping) so back-to-back runs in one process each start
-/// from their own t=0; [`trace-report`'s] `--validate` checks per-trace
-/// monotonicity instead.
+/// monotone clamping) so back-to-back runs each start from their own
+/// t=0; [`trace-report`'s] `--validate` checks per-trace monotonicity
+/// instead.
 ///
 /// [`trace-report`'s]: crate
 #[inline]
 pub fn set_sim_time(now: SimTime) {
     if enabled() {
-        SIM_TIME_BITS.store(now.as_secs_f64().to_bits(), Ordering::Relaxed);
+        SIM_TIME_S.with(|t| t.set(now.as_secs_f64()));
     }
 }
 
 /// The simulated timestamp events are currently stamped with.
 #[inline]
 pub fn sim_time_s() -> f64 {
-    f64::from_bits(SIM_TIME_BITS.load(Ordering::Relaxed))
+    SIM_TIME_S.with(Cell::get)
 }
 
-/// Emits an event to every installed sink.
+/// Emits an event to every sink installed on this thread.
 ///
 /// The closure only runs when a sink is installed, so call sites can
 /// pass payload construction (formatting, mask counting) without
@@ -86,66 +93,66 @@ pub fn emit(event: impl FnOnce() -> TraceEvent) {
     if !enabled() {
         return;
     }
-    emit_record(TraceRecord {
+    let record = TraceRecord {
         t: sim_time_s(),
         event: event(),
-    });
-}
-
-fn emit_record(record: TraceRecord) {
-    let mut guard = sinks();
-    match guard.len() {
-        0 => {}
-        1 => guard[0].1.record(&record),
-        _ => {
-            for (_, sink) in guard.iter_mut() {
-                sink.record(&record);
-            }
+    };
+    SINKS.with_borrow_mut(|sinks| {
+        for (_, sink) in sinks.iter_mut() {
+            sink.record(&record);
         }
-    }
+    });
 }
 
 /// Detaches its sink (and flushes it) when dropped.
 ///
 /// Returned by [`install`]; hold it for the duration of the traced run.
+/// It is tied to the installing thread and cannot be sent elsewhere.
 #[must_use = "dropping the handle immediately uninstalls the sink"]
 pub struct SinkHandle {
     id: u64,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for SinkHandle {
     fn drop(&mut self) {
-        let mut guard = sinks();
-        if let Some(pos) = guard.iter().position(|(id, _)| *id == self.id) {
-            let (_, mut sink) = guard.remove(pos);
+        let detached = SINKS.with_borrow_mut(|sinks| {
+            let pos = sinks.iter().position(|(id, _)| *id == self.id);
+            let detached = pos.map(|pos| sinks.remove(pos).1);
+            if sinks.is_empty() {
+                ENABLED.with(|e| e.set(false));
+                SIM_TIME_S.with(|t| t.set(0.0));
+            }
+            detached
+        });
+        if let Some(mut sink) = detached {
             sink.flush();
-        }
-        if guard.is_empty() {
-            ENABLED.store(false, Ordering::Relaxed);
-            SIM_TIME_BITS.store(0, Ordering::Relaxed);
         }
     }
 }
 
-/// Installs a sink and switches the bus on.
+/// Installs a sink on the calling thread and switches its bus on.
 ///
 /// Sinks receive records in emission order. The sink is detached (and
 /// flushed) when the returned handle drops.
 pub fn install(sink: Box<dyn TraceSink>) -> SinkHandle {
-    let id = NEXT_HANDLE.fetch_add(1, Ordering::Relaxed);
-    let mut guard = sinks();
-    guard.push((id, sink));
-    ENABLED.store(true, Ordering::Relaxed);
-    drop(guard);
-    SinkHandle { id }
+    let id = NEXT_HANDLE.with(|n| n.replace(n.get() + 1));
+    SINKS.with_borrow_mut(|sinks| sinks.push((id, sink)));
+    ENABLED.with(|e| e.set(true));
+    SinkHandle {
+        id,
+        _thread_bound: PhantomData,
+    }
 }
 
-/// Flushes every installed sink (e.g. before reading a trace file that
-/// is still being written).
+/// Flushes every sink installed on this thread (e.g. before reading a
+/// trace file that is still being written).
 pub fn flush() {
-    for (_, sink) in sinks().iter_mut() {
-        sink.flush();
-    }
+    SINKS.with_borrow_mut(|sinks| {
+        for (_, sink) in sinks.iter_mut() {
+            sink.flush();
+        }
+    });
 }
 
 /// Emits `PhaseStart` on construction and `PhaseEnd` on drop.
@@ -188,12 +195,8 @@ mod tests {
     use super::*;
     use crate::sink::RingBufferSink;
 
-    /// The bus is process-global, so tests touching it serialize here.
-    pub(crate) static BUS_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_bus_skips_payload_construction() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut built = false;
         emit(|| {
             built = true;
@@ -205,7 +208,6 @@ mod tests {
 
     #[test]
     fn install_emit_detach_round_trip() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let ring = RingBufferSink::with_capacity(16);
         let handle = install(Box::new(ring.clone()));
         assert!(enabled());
@@ -241,7 +243,6 @@ mod tests {
 
     #[test]
     fn phase_guard_brackets_its_span() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let ring = RingBufferSink::with_capacity(16);
         let handle = install(Box::new(ring.clone()));
         {
@@ -255,7 +256,6 @@ mod tests {
 
     #[test]
     fn multiple_sinks_each_receive_records() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let a = RingBufferSink::with_capacity(4);
         let b = RingBufferSink::with_capacity(4);
         let ha = install(Box::new(a.clone()));
@@ -276,5 +276,27 @@ mod tests {
         drop(hb);
         assert_eq!(a.records().len(), 1);
         assert_eq!(b.records().len(), 2, "surviving sink keeps recording");
+    }
+
+    #[test]
+    fn sinks_and_sim_time_belong_to_the_installing_thread() {
+        let ring = RingBufferSink::with_capacity(4);
+        let handle = install(Box::new(ring.clone()));
+        set_sim_time(SimTime::from_secs(1.5));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert!(!enabled(), "another thread's bus stays off");
+                assert_eq!(sim_time_s(), 0.0);
+                emit(|| TraceEvent::Timeout { device: 1 });
+            });
+        });
+        emit(|| TraceEvent::Timeout { device: 2 });
+        drop(handle);
+        let records = ring.records();
+        assert_eq!(records.len(), 1, "only the installing thread records");
+        assert_eq!(
+            (records[0].t, &records[0].event),
+            (1.5, &TraceEvent::Timeout { device: 2 })
+        );
     }
 }

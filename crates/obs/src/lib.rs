@@ -1,24 +1,29 @@
-//! # helios-obs — deterministic tracing and metrics for the simulator
+//! # helios-obs — deterministic tracing for the simulator
 //!
 //! This crate is the observability layer of the workspace: a
-//! process-wide event bus carrying typed [`TraceEvent`]s, a
-//! counter/gauge/histogram [`registry`], and pluggable sinks
-//! ([`RingBufferSink`], [`JsonlSink`], [`ChromeTraceSink`]).
+//! per-thread event bus carrying typed [`TraceEvent`]s and pluggable
+//! sinks ([`RingBufferSink`], [`JsonlSink`], [`ChromeTraceSink`]).
 //!
 //! ## The two clocks
 //!
 //! Everything on the bus is stamped with **simulated** time (published
 //! by the round driver via [`set_sim_time`]); host wall-clock never
-//! appears in a trace. Host-side profiling (kernel flop counters,
-//! `nn::profiler` wall timers) stays out of traces entirely and bridges
-//! into the [`registry`] as polled gauges instead. The payoff is the
-//! workspace determinism contract: a fixed-seed run emits a
-//! byte-identical JSONL trace at any thread width.
+//! appears in a trace. Host-side profiling (`helios_tensor`'s per-thread
+//! kernel flop counters and hot-path wall timers) stays out of traces
+//! entirely; the round driver reports it per run in its `RunProfile`.
+//! The payoff is the workspace determinism contract: a fixed-seed run
+//! emits a byte-identical JSONL trace at any thread width.
+//!
+//! ## One bus per thread
+//!
+//! [`install`] attaches a sink to the calling thread's bus only, so a
+//! run records exactly the events its own thread emits — concurrent
+//! runs in one process (parallel tests, say) never mix their traces.
 //!
 //! ## Zero-cost when off
 //!
 //! The bus is disabled until a sink is [`install`]ed. [`emit`] takes a
-//! closure and checks a single relaxed atomic before building the
+//! closure and checks a single thread-local flag before building the
 //! payload, so instrumented hot paths cost one predictable branch when
 //! tracing is off (`bench_obs` pins this below 3% on the engine
 //! workload).
@@ -44,7 +49,6 @@
 mod bus;
 mod chrome;
 mod event;
-pub mod registry;
 mod sink;
 
 pub use bus::{emit, enabled, flush, install, set_sim_time, sim_time_s, PhaseGuard, SinkHandle};

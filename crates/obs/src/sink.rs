@@ -10,10 +10,9 @@ use crate::event::TraceRecord;
 
 /// Receives every emitted [`TraceRecord`], in emission order.
 ///
-/// Implementations must tolerate being called from the serial main
-/// thread only (the bus guarantees this) but are `Send` so the global
-/// registry can own them.
-pub trait TraceSink: Send {
+/// Installed sinks live on the thread that installed them and are only
+/// called from it.
+pub trait TraceSink {
     /// Handles one record.
     fn record(&mut self, record: &TraceRecord);
 

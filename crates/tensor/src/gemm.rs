@@ -134,12 +134,12 @@ pub(crate) enum Layout {
 enum BSrc<'a> {
     /// Normal-layout B, read in place at row stride `n`. `tail` holds
     /// the packed final partial panel when `nr ∤ n` (reading that panel
-    /// in place would run past the row end).
+    /// in place would run past the row end), and is empty otherwise.
     Direct {
         /// The operand itself, row-major `[k, n]`.
         b: &'a [f32],
         /// Packed `k × nr` tail panel, zero-padded past column `n`.
-        tail: Option<&'a [f32]>,
+        tail: &'a [f32],
     },
     /// Every panel packed `nr`-wide, k-major (transposed-layout B).
     Packed(&'a [f32]),
@@ -154,8 +154,7 @@ impl<'a> BSrc<'a> {
                 if (jp + 1) * nr_w <= n {
                     (&b[kp * n + jp * nr_w..], n)
                 } else {
-                    let tp = tail.expect("partial panel requires a packed tail");
-                    (&tp[kp * nr_w..], nr_w)
+                    (&tail[kp * nr_w..], nr_w)
                 }
             }
             BSrc::Packed(bp) => (&bp[jp * k * nr_w + kp * nr_w..], nr_w),
@@ -203,10 +202,10 @@ pub(crate) fn gemm_into(
     // cheaper and deterministic. The packers write every slot they hand
     // to the kernel, so the scratch can skip its zero-fill.
     match tb {
-        Layout::Normal if n.is_multiple_of(nr_w) => run(out, BSrc::Direct { b, tail: None }),
+        Layout::Normal if n.is_multiple_of(nr_w) => run(out, BSrc::Direct { b, tail: &[] }),
         Layout::Normal => with_scratch_dirty(k * nr_w, |tp| {
             pack_b_tail(tp, b, k, n, nr_w);
-            run(out, BSrc::Direct { b, tail: Some(tp) });
+            run(out, BSrc::Direct { b, tail: tp });
         }),
         Layout::Transposed => with_scratch_dirty(nb * k * nr_w, |bp| {
             pack_b_t(bp, b, k, n, nr_w);
@@ -411,9 +410,7 @@ fn micro_tile<const NR_W: usize, const CHECKED: bool>(
         acc_row[..nr].copy_from_slice(&out[row..row + nr]);
     }
     for (kk, a_k) in a_steps.iter().enumerate() {
-        let b_k: &[f32; NR_W] = (&b[kk * ldb..kk * ldb + NR_W])
-            .try_into()
-            .expect("exact NR_W panel row");
+        let b_k: &[f32; NR_W] = &b[kk * ldb..kk * ldb + NR_W].as_chunks().0[0];
         if !CHECKED || a_k.iter().all(|&v| v != 0.0) {
             for i in 0..MR {
                 let a_ik = a_k[i];
@@ -467,9 +464,7 @@ fn micro_rows<const NR_W: usize, const CHECKED: bool>(
         acc_row[..nr].copy_from_slice(&out[row..row + nr]);
     }
     for kk in 0..kc {
-        let b_k: &[f32; NR_W] = (&b[kk * ldb..kk * ldb + NR_W])
-            .try_into()
-            .expect("exact NR_W panel row");
+        let b_k: &[f32; NR_W] = &b[kk * ldb..kk * ldb + NR_W].as_chunks().0[0];
         let a_k = [r[0][kk], r[1][kk], r[2][kk], r[3][kk]];
         if !CHECKED || a_k.iter().all(|&v| v != 0.0) {
             for i in 0..MR {
@@ -520,12 +515,8 @@ fn micro_cols<const NR_W: usize, const CHECKED: bool>(
         acc_row[..nr].copy_from_slice(&out[row..row + nr]);
     }
     for kk in 0..kc {
-        let b_k: &[f32; NR_W] = (&b[kk * ldb..kk * ldb + NR_W])
-            .try_into()
-            .expect("exact NR_W panel row");
-        let a_k: &[f32; MR] = (&a_base[kk * stride..kk * stride + MR])
-            .try_into()
-            .expect("exact MR chunk");
+        let b_k: &[f32; NR_W] = &b[kk * ldb..kk * ldb + NR_W].as_chunks().0[0];
+        let a_k: &[f32; MR] = &a_base[kk * stride..kk * stride + MR].as_chunks().0[0];
         if !CHECKED || a_k.iter().all(|&v| v != 0.0) {
             for i in 0..MR {
                 let a_ik = a_k[i];

@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod conv;
 mod error;
@@ -49,7 +50,7 @@ pub use conv::{
 pub use error::TensorError;
 pub use gemm::{naive_matmul, KC, MR, NR};
 pub use init::{he_normal, uniform_init, xavier_uniform, TensorRng};
-pub use instrument::{kernel_counters, reset_kernel_counters, KernelCounters};
+pub use instrument::{host_counters, timed, HostCounters, Hotpath};
 pub use packed::{
     gather_channels, gather_elems, gather_rows_cols, scatter_add_elems, scatter_add_rows_cols,
     scatter_channels, scatter_cols,

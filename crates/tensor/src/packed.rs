@@ -277,8 +277,8 @@ pub fn scatter_channels(src: &Tensor, channels: &[usize], out_channels: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host_counters;
     use crate::init::{uniform_init, TensorRng};
-    use crate::kernel_counters;
 
     #[test]
     fn gather_scatter_cols_round_trip() {
@@ -363,10 +363,10 @@ mod tests {
     fn data_movement_records_no_flops() {
         let mut rng = TensorRng::seed_from(3);
         let x = uniform_init(&[8, 8], -1.0, 1.0, &mut rng);
-        let before = kernel_counters();
+        let before = host_counters();
         let g = gather_rows_cols(&x, Some(&[0, 5]), Some(&[1, 2, 7])).unwrap();
         let _ = scatter_cols(&g, &[0, 1, 2], 8).unwrap();
-        let spent = kernel_counters().since(&before);
+        let spent = host_counters().since(&before);
         assert_eq!(spent.flops, 0, "gather/scatter are not compute kernels");
     }
 }

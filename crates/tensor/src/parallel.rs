@@ -17,9 +17,18 @@
 //! for any region of code without plumbing a parameter through every
 //! call site. The override is thread-local, so concurrently running
 //! tests (or FL client workers) cannot race on each other's setting.
+//!
+//! The host counters ([`host_counters`](crate::host_counters)) are
+//! thread-local for the same reason. Each primitive here folds every
+//! worker's accumulated share back into the spawning thread when the
+//! workers join, so a caller's snapshot deltas cover the work it fanned
+//! out and nothing else.
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::thread::ScopedJoinHandle;
+
+use crate::instrument::{self, host_counters, HostCounters};
 
 /// How many worker threads the tensor kernels and FL client rounds may
 /// use.
@@ -124,30 +133,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if item_len == 0 || data.is_empty() {
-        return;
-    }
-    debug_assert_eq!(data.len() % item_len, 0, "data must be whole items");
-    let items = data.len() / item_len;
-    let threads = plan_threads(items, item_work);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let per_thread = items.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = data;
-        let mut first_item = 0usize;
-        while !rest.is_empty() {
-            let take_items = per_thread.min(rest.len() / item_len);
-            let (chunk, tail) = rest.split_at_mut(take_items * item_len);
-            rest = tail;
-            let start = first_item;
-            scope.spawn(move || f(start, chunk));
-            first_item += take_items;
-        }
-    });
+    for_each_block_aligned(data, item_len, item_work, 1, f);
 }
 
 /// Like [`for_each_block`], but rounds each worker's item share up to a
@@ -167,30 +153,16 @@ pub fn for_each_block_aligned<T, F>(
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if item_len == 0 || data.is_empty() {
-        return;
-    }
-    debug_assert_eq!(data.len() % item_len, 0, "data must be whole items");
-    let items = data.len() / item_len;
-    let threads = plan_threads(items, item_work);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let per_thread = items.div_ceil(threads).next_multiple_of(align.max(1));
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = data;
-        let mut first_item = 0usize;
-        while !rest.is_empty() {
-            let take_items = per_thread.min(rest.len() / item_len);
-            let (chunk, tail) = rest.split_at_mut(take_items * item_len);
-            rest = tail;
-            let start = first_item;
-            scope.spawn(move || f(start, chunk));
-            first_item += take_items;
-        }
-    });
+    let mut unit = vec![(); data.len() / item_len.max(1)];
+    run_blocks(
+        data,
+        item_len,
+        &mut unit,
+        1,
+        item_work,
+        align,
+        |first, chunk, _| f(first, chunk),
+    );
 }
 
 /// Like [`for_each_block`], but partitions two output buffers in
@@ -209,6 +181,25 @@ pub fn for_each_block2<A, B, F>(
     B: Send,
     F: Fn(usize, &mut [A], &mut [B]) + Sync,
 {
+    run_blocks(a, a_len, b, b_len, item_work, 1, f);
+}
+
+/// The one block-partitioning engine behind the `for_each_block*`
+/// family: items go to workers in contiguous runs of a multiple of
+/// `align`, each worker's host counters fold back into the caller.
+fn run_blocks<A, B, F>(
+    a: &mut [A],
+    a_len: usize,
+    b: &mut [B],
+    b_len: usize,
+    item_work: usize,
+    align: usize,
+    f: F,
+) where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
     if a_len == 0 || b_len == 0 || a.is_empty() {
         return;
     }
@@ -220,22 +211,39 @@ pub fn for_each_block2<A, B, F>(
         f(0, a, b);
         return;
     }
-    let per_thread = items.div_ceil(threads);
+    let per_thread = items.div_ceil(threads).next_multiple_of(align.max(1));
     std::thread::scope(|scope| {
         let f = &f;
-        let (mut rest_a, mut rest_b) = (a, b);
-        let mut first_item = 0usize;
-        while !rest_a.is_empty() {
-            let take_items = per_thread.min(rest_a.len() / a_len);
-            let (chunk_a, tail_a) = rest_a.split_at_mut(take_items * a_len);
-            let (chunk_b, tail_b) = rest_b.split_at_mut(take_items * b_len);
-            rest_a = tail_a;
-            rest_b = tail_b;
-            let start = first_item;
-            scope.spawn(move || f(start, chunk_a, chunk_b));
-            first_item += take_items;
-        }
+        let workers: Vec<_> = a
+            .chunks_mut(per_thread * a_len)
+            .zip(b.chunks_mut(per_thread * b_len))
+            .enumerate()
+            .map(|(w, (chunk_a, chunk_b))| {
+                scope.spawn(move || counted(|| f(w * per_thread, chunk_a, chunk_b)))
+            })
+            .collect();
+        workers.into_iter().for_each(join_counted);
     });
+}
+
+/// Runs `f` on a worker thread and pairs its result with the host
+/// counters it accumulated, for the parent to fold in after the join.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, HostCounters) {
+    let before = host_counters();
+    let out = f();
+    (out, host_counters().since(&before))
+}
+
+/// Joins one worker, folding its host counters into the calling thread
+/// (a worker panic resumes on the caller).
+fn join_counted<T>(worker: ScopedJoinHandle<'_, (T, HostCounters)>) -> T {
+    match worker.join() {
+        Ok((out, spent)) => {
+            instrument::add(spent);
+            out
+        }
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
 }
 
 /// Splits a total thread budget between a fan-out of `count` items and
@@ -249,61 +257,26 @@ fn split_budget(count: usize, budget: usize) -> (usize, ParallelismConfig) {
     (width, ParallelismConfig::with_threads(budget / width))
 }
 
-/// Runs one closure per item of `out` on worker threads, writing each
-/// item's result into its slot. Used for coarse-grained fan-out (FL
-/// clients training in parallel): item order in `out` matches input
-/// order regardless of which worker ran which item. `threads` is the
-/// *total* budget — it caps the fan-out width, and any surplus per
-/// worker is granted to that worker's kernels (the budget split).
-/// Results are bitwise identical for every budget because the kernels
-/// themselves are deterministic at any width.
+/// Runs one closure per index in `0..count` on worker threads and
+/// returns the results in index order. Used for coarse-grained fan-out;
+/// see [`map_items_mut`] for the budget split.
 pub fn map_indexed<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    let (width, per_worker) = split_budget(count, threads);
-    if width <= 1 || count <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            // Match the multi-threaded path: kernels get the budget the
-            // single "worker" (this thread) is entitled to.
-            let _guard = per_worker.scoped();
-            *slot = Some(f(i));
-        }
-    } else {
-        let per_thread = count.div_ceil(width);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest: &mut [Option<T>] = &mut out;
-            let mut first = 0usize;
-            while !rest.is_empty() {
-                let take = per_thread.min(rest.len());
-                let (chunk, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let start = first;
-                scope.spawn(move || {
-                    // Workers only get the budget left after the
-                    // fan-out, so nested kernels never oversubscribe.
-                    let _guard = per_worker.scoped();
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(f(start + off));
-                    }
-                });
-                first += take;
-            }
-        });
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("every item filled"))
-        .collect()
+    map_items_mut(&mut vec![(); count], threads, |i, _| f(i))
 }
 
-/// Like [`map_indexed`], but each closure call also receives exclusive
-/// mutable access to its item of `items` — the primitive behind the FL
-/// layer's parallel client rounds, where item `i` is client `i` and the
-/// closure runs its local training. Output order matches item order and
-/// the thread budget is split exactly as in [`map_indexed`].
+/// Runs one closure per item of `items` on worker threads, giving each
+/// call exclusive mutable access to its item — the primitive behind the
+/// FL layer's parallel client rounds, where item `i` is client `i` and
+/// the closure runs its local training. Output order matches item order
+/// regardless of which worker ran which item. `threads` is the *total*
+/// budget — it caps the fan-out width, and any surplus per worker is
+/// granted to that worker's kernels (the budget split). Results are
+/// bitwise identical for every budget because the kernels themselves
+/// are deterministic at any width.
 pub fn map_items_mut<T, U, F>(items: &mut [T], threads: usize, f: F) -> Vec<U>
 where
     T: Send,
@@ -311,42 +284,31 @@ where
     F: Fn(usize, &mut T) -> U + Sync,
 {
     let count = items.len();
-    let mut out: Vec<Option<U>> = (0..count).map(|_| None).collect();
     let (width, per_worker) = split_budget(count, threads);
+    // Kernels get the budget left after the fan-out, so nested kernels
+    // never oversubscribe; the serial path grants the single "worker"
+    // (this thread) the same share.
+    let run = |first: usize, chunk: &mut [T]| -> Vec<U> {
+        let _guard = per_worker.scoped();
+        chunk
+            .iter_mut()
+            .enumerate()
+            .map(|(off, item)| f(first + off, item))
+            .collect()
+    };
     if width <= 1 || count <= 1 {
-        for (i, (slot, item)) in out.iter_mut().zip(items.iter_mut()).enumerate() {
-            let _guard = per_worker.scoped();
-            *slot = Some(f(i, item));
-        }
-    } else {
-        let per_thread = count.div_ceil(width);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest_out: &mut [Option<U>] = &mut out;
-            let mut rest_items: &mut [T] = items;
-            let mut first = 0usize;
-            while !rest_out.is_empty() {
-                let take = per_thread.min(rest_out.len());
-                let (chunk_out, tail_out) = rest_out.split_at_mut(take);
-                let (chunk_items, tail_items) = rest_items.split_at_mut(take);
-                rest_out = tail_out;
-                rest_items = tail_items;
-                let start = first;
-                scope.spawn(move || {
-                    let _guard = per_worker.scoped();
-                    for (off, (slot, item)) in
-                        chunk_out.iter_mut().zip(chunk_items.iter_mut()).enumerate()
-                    {
-                        *slot = Some(f(start + off, item));
-                    }
-                });
-                first += take;
-            }
-        });
+        return run(0, items);
     }
-    out.into_iter()
-        .map(|slot| slot.expect("every item filled"))
-        .collect()
+    let per_thread = count.div_ceil(width);
+    std::thread::scope(|scope| {
+        let run = &run;
+        let workers: Vec<_> = items
+            .chunks_mut(per_thread)
+            .enumerate()
+            .map(|(w, chunk)| scope.spawn(move || counted(|| run(w * per_thread, chunk))))
+            .collect();
+        workers.into_iter().flat_map(join_counted).collect()
+    })
 }
 
 #[cfg(test)]
@@ -432,6 +394,21 @@ mod tests {
         // Serial budget stays serial all the way down.
         let flags = map_indexed(2, 1, |_| current_threads());
         assert_eq!(flags, vec![1, 1]);
+    }
+
+    #[test]
+    fn workers_fold_their_host_counters_into_the_caller() {
+        let before = host_counters();
+        // 8-thread budget over 2 items: each worker's 4-thread kernel
+        // fan-out folds into the worker, which folds into this thread.
+        map_indexed(2, 8, |_| {
+            let mut data = vec![0u32; 8];
+            for_each_block(&mut data, 1, usize::MAX / 64, |_, chunk| {
+                instrument::record_kernel(10, chunk.len() as u64);
+            });
+        });
+        let spent = host_counters().since(&before);
+        assert_eq!((spent.flops, spent.elements), (2 * 4 * 10, 2 * 8));
     }
 
     #[test]

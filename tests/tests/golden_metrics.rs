@@ -19,7 +19,7 @@ use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{Afo, AsyncFl, FlConfig, FlEnv, RandomPartial, RunMetrics, Strategy, SyncFedAvg};
 use helios_nn::models::ModelKind;
-use helios_tensor::TensorRng;
+use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
 
 const SEED: u64 = 9099;
@@ -162,7 +162,22 @@ const GOLDEN: &[(&str, &[GoldenCycle])] = &[
     ),
 ];
 
-fn build_env(seed: u64, clients: usize, per_client: usize, test_n: usize) -> FlEnv {
+/// `(train_flops, eval_flops)` per cycle of each golden run.
+const GOLDEN_FLOPS: &[(&str, &[(u64, u64)])] = &[
+    ("sync_fedavg", &[(59304960, 6643200); 3]),
+    ("random_partial", &[(45999840, 6643200); 3]),
+    ("async_fl", &[(39536640, 6643200); 3]),
+    ("afo", &[(39536640, 6643200); 3]),
+    ("helios", &[(46794240, 6643200); 3]),
+];
+
+fn build_env(
+    seed: u64,
+    clients: usize,
+    per_client: usize,
+    test_n: usize,
+    threads: Option<usize>,
+) -> FlEnv {
     let mut rng = TensorRng::seed_from(seed);
     let (train, test) = SyntheticVision::mnist_like()
         .generate(per_client * clients, test_n, &mut rng)
@@ -178,6 +193,7 @@ fn build_env(seed: u64, clients: usize, per_client: usize, test_n: usize) -> FlE
         test,
         FlConfig {
             seed,
+            parallelism: ParallelismConfig { threads },
             ..FlConfig::default()
         },
     )
@@ -227,7 +243,7 @@ fn assert_phases_consistent(m: &RunMetrics) {
 #[test]
 fn fixed_seed_runs_match_pre_refactor_golden_metrics() {
     for (name, golden) in GOLDEN {
-        let mut env = build_env(SEED, 3, 30, 30);
+        let mut env = build_env(SEED, 3, 30, 30, None);
         let mut strategy = golden_strategy(name);
         let m = strategy.run(&mut env, CYCLES).expect("golden run");
         assert_eq!(m.strategy(), *name);
@@ -275,6 +291,28 @@ fn fixed_seed_runs_match_pre_refactor_golden_metrics() {
     }
 }
 
+/// The per-cycle `(train_flops, eval_flops)` of the golden runs, at one
+/// and at four threads. The driver's counters see exactly its own run —
+/// fan-out workers fold their counts into the driving thread on join —
+/// so the counts are exact and independent of the thread width.
+#[test]
+fn fixed_seed_runs_match_golden_flop_counts() {
+    for (name, golden) in GOLDEN_FLOPS {
+        for threads in [1, 4] {
+            let mut env = build_env(SEED, 3, 30, 30, Some(threads));
+            let m = golden_strategy(name)
+                .run(&mut env, CYCLES)
+                .expect("golden run");
+            let flops: Vec<(u64, u64)> = m
+                .records()
+                .iter()
+                .map(|r| (r.phases.train_flops, r.phases.eval_flops))
+                .collect();
+            assert_eq!(flops, *golden, "{name}: flops at {threads} threads");
+        }
+    }
+}
+
 proptest! {
     /// For arbitrary small fleets, strategies, and cycle counts, the
     /// per-phase timings of every cycle sum to exactly that cycle's
@@ -286,7 +324,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (name, _) = GOLDEN[strategy_idx];
-        let mut env = build_env(seed, 3, 8, 8);
+        let mut env = build_env(seed, 3, 8, 8, None);
         let mut strategy = golden_strategy(name);
         let m = strategy.run(&mut env, cycles).expect("run");
         prop_assert_eq!(m.records().len(), cycles);

@@ -16,13 +16,13 @@ use helios_nn::{
     models, set_packed_execution, Conv2d, CrossEntropyLoss, Dense, Flatten, Layer, MaxPool2d,
     ModelMask, Network, ParallelismConfig, Relu, Sgd,
 };
-use helios_tensor::{kernel_counters, uniform_init, ConvSpec, Tensor, TensorRng};
+use helios_tensor::{host_counters, uniform_init, ConvSpec, Tensor, TensorRng};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests in this binary around the global packed-execution
-/// flag (and the global kernel counters), restoring the packed default
-/// on drop even if an assertion fails mid-test.
+/// flag, restoring the packed default on drop even if an assertion
+/// fails mid-test.
 struct ExecGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl ExecGuard {
@@ -112,16 +112,16 @@ fn assert_packed_parity(
     let mut packed = net.clone();
     packed.set_masks(mask).expect("set masks (packed)");
     set_packed_execution(true);
-    let before = kernel_counters();
+    let before = host_counters();
     let got_packed = train_twice(&mut packed, x, labels);
-    let packed_flops = kernel_counters().since(&before).flops;
+    let packed_flops = host_counters().since(&before).flops;
 
     let mut zeroing = net.clone();
     zeroing.set_masks(mask).expect("set masks (zeroing)");
     set_packed_execution(false);
-    let before = kernel_counters();
+    let before = host_counters();
     let got_zeroing = train_twice(&mut zeroing, x, labels);
-    let zeroing_flops = kernel_counters().since(&before).flops;
+    let zeroing_flops = host_counters().since(&before).flops;
     set_packed_execution(true);
 
     assert_eq!(got_packed.0, got_zeroing.0, "logit bits diverged");
@@ -238,9 +238,9 @@ fn packed_flops_are_monotone_in_keep_ratio() {
         let mut run = net.clone();
         let mask = leading_units_mask(&mut run, keep);
         run.set_masks(&mask).expect("masks");
-        let before = kernel_counters();
+        let before = host_counters();
         train_twice(&mut run, &x, &labels);
-        flops.push(kernel_counters().since(&before).flops);
+        flops.push(host_counters().since(&before).flops);
     }
     assert!(
         flops[0] < flops[1] && flops[1] < flops[2],

@@ -2,9 +2,6 @@
 //! availability, throttling, drift — is driven purely from the
 //! declarative [`ScenarioConfig`] timeline, replays bitwise at any
 //! thread width, and leaves empty-scenario runs untouched.
-//!
-//! The obs bus is process-global, so the trace-recording tests hold
-//! [`OBS_LOCK`] for their full body.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, ShardSynthesizer, SyntheticVision};
@@ -22,9 +19,6 @@ use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::{Mutex, PoisonError};
-
-/// Serializes the trace-recording tests around the process-global bus.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Thread widths every axis must replay bitwise across.
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -128,7 +122,6 @@ fn netted_env(seed: u64, threads: usize, scenario: ScenarioConfig) -> FlEnv {
 /// whole run replays byte-identically at every thread width.
 #[test]
 fn link_outage_window_blacks_out_device_then_restores() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let scenario = ScenarioConfig {
         outages: vec![OutageWindow {
             from_cycle: 1,
@@ -523,7 +516,6 @@ fn traced_scenario_bytes(threads: usize, scenario: ScenarioConfig) -> Vec<u8> {
 
 #[test]
 fn scenario_traces_are_byte_identical_across_widths() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let reference = traced_scenario_bytes(1, combined_scenario());
     assert!(!reference.is_empty());
     for threads in &WIDTHS[1..] {
@@ -548,7 +540,6 @@ fn scenario_traces_are_byte_identical_across_widths() {
 
 #[test]
 fn empty_scenario_is_bitwise_inert_and_emits_no_events() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let mut env = lazy_env(
         4,
         37,

@@ -2,10 +2,6 @@
 //! Helios run emits a **byte-identical** JSONL trace at every thread
 //! width, pinned by content digest, and every frame-level fault event
 //! is eventually settled by a terminal outcome.
-//!
-//! The obs bus is process-global, so every test in this binary holds
-//! [`OBS_LOCK`] for its full body — a sink installed by one test must
-//! never observe another test's run.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
@@ -22,9 +18,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 const SEED: u64 = 2024;
 const CYCLES: usize = 3;
-
-/// Serializes every test in this binary around the process-global bus.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// The pinned FNV-1a digest of the lossy reference trace. Any change to
 /// the event taxonomy, serializer, or simulated outcome moves this
@@ -97,18 +90,23 @@ fn make_env(seed: u64, threads: usize, net: NetConfig) -> FlEnv {
     .expect("env")
 }
 
-/// Runs the lossy reference workload at `threads` and returns the raw
-/// JSONL trace bytes.
-fn traced_run_bytes(threads: usize) -> Vec<u8> {
+/// Runs the lossy reference workload at `threads`, returning the raw
+/// JSONL trace bytes and each cycle's `(train_flops, eval_flops)`.
+fn traced_run(threads: usize) -> (Vec<u8>, Vec<(u64, u64)>) {
     let buf = SharedBuf::default();
     let sink = helios_obs::JsonlSink::new(Box::new(buf.clone()));
     let handle = helios_obs::install(Box::new(sink));
     let mut env = make_env(SEED, threads, lossy_net());
-    HeliosStrategy::new(HeliosConfig::default())
+    let metrics = HeliosStrategy::new(HeliosConfig::default())
         .run(&mut env, CYCLES)
         .expect("helios run");
     drop(handle); // detach + flush
-    buf.take()
+    let flops = metrics
+        .records()
+        .iter()
+        .map(|r| (r.phases.train_flops, r.phases.eval_flops))
+        .collect();
+    (buf.take(), flops)
 }
 
 /// Asserts the frame-settlement invariant on an event stream: every
@@ -144,11 +142,10 @@ fn assert_faults_settle(records: &[helios_obs::TraceRecord]) {
 /// cannot slip through.
 #[test]
 fn lossy_trace_is_byte_identical_across_thread_widths() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let reference = traced_run_bytes(1);
+    let (reference, _) = traced_run(1);
     assert!(!reference.is_empty(), "traced run must emit events");
     for threads in [2usize, 4, 8] {
-        let bytes = traced_run_bytes(threads);
+        let (bytes, _) = traced_run(threads);
         assert_eq!(
             bytes, reference,
             "JSONL trace must be byte-identical at {threads} threads"
@@ -172,11 +169,42 @@ fn lossy_trace_is_byte_identical_across_thread_widths() {
     assert_faults_settle(&records);
 }
 
+/// Runs sharing a process cannot see each other's instrumentation: the
+/// same traced run on four threads at once (each at its own kernel
+/// width) reproduces the serial run's trace bytes and per-cycle flop
+/// counts exactly.
+#[test]
+fn concurrent_traced_runs_match_the_serial_run() {
+    let (reference, reference_flops) = traced_run(1);
+    assert!(reference_flops
+        .iter()
+        .all(|&(train, eval)| train > 0 && eval > 0));
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = [1usize, 2, 4, 8]
+            .into_iter()
+            .map(|threads| scope.spawn(move || (threads, traced_run(threads))))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("concurrent run"))
+            .collect()
+    });
+    for (threads, (bytes, flops)) in runs {
+        assert!(
+            bytes == reference,
+            "concurrent run at {threads} threads: trace bytes differ from the serial run"
+        );
+        assert_eq!(
+            flops, reference_flops,
+            "concurrent run at {threads} threads: per-cycle flops differ"
+        );
+    }
+}
+
 /// The Chrome exporter produces valid JSON with a `traceEvents` array
 /// and one named track per device.
 #[test]
 fn chrome_export_is_valid_json_with_device_tracks() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let ring = RingBufferSink::with_capacity(1 << 20);
     let handle = helios_obs::install(Box::new(ring.clone()));
     let mut env = make_env(SEED, 2, lossy_net());
@@ -226,7 +254,6 @@ proptest! {
         max_retries in 0u32..4,
         frames in 1usize..6,
     ) {
-        let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let cfg = NetConfig {
             enabled: true,
             link: LinkProfile::constrained(1e6, 0.01),
